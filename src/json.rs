@@ -30,7 +30,50 @@
 //! assert_eq!(v.render(), r#"{"seed":18446744073709551615,"dt":0.002}"#);
 //! ```
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// How deep arrays and objects may nest. Scenario specs nest about
+/// three levels; the cap keeps the recursive parser from exhausting
+/// its thread's stack on hostile input such as 50,000 `[` bytes.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why [`Value::parse`] rejected a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ParseError {
+    /// Not well-formed JSON: a human-readable hint (byte offset + what
+    /// was expected).
+    Syntax(String),
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] levels.
+    TooDeep {
+        /// Byte offset of the bracket that crossed the cap.
+        at: usize,
+    },
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Syntax(hint) => f.write_str(hint),
+            Self::TooDeep { at } => {
+                write!(f, "nested deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<String> for ParseError {
+    fn from(hint: String) -> Self {
+        Self::Syntax(hint)
+    }
+}
+
+impl From<&str> for ParseError {
+    fn from(hint: &str) -> Self {
+        Self::Syntax(hint.into())
+    }
+}
 
 /// A parsed JSON value.
 ///
@@ -57,19 +100,20 @@ pub enum Value {
 
 impl Value {
     /// Parse one JSON document; trailing non-whitespace is an error.
-    /// Errors are human-readable hints (byte offset + what was
+    /// Errors render as human-readable hints (byte offset + what was
     /// expected) — the scenario server surfaces them verbatim in its
     /// 400 responses.
-    pub fn parse(text: &str) -> Result<Value, String> {
+    pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
+            return Err(format!("trailing characters at byte {}", p.pos).into());
         }
         Ok(v)
     }
@@ -212,6 +256,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,39 +275,54 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos).into())
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(format!("invalid literal at byte {}", self.pos).into())
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
+            Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos).into()),
             None => Err("unexpected end of input".into()),
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// Parse an array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         while self
             .peek()
@@ -279,10 +340,10 @@ impl Parser<'_> {
         }
         tok.parse::<f64>()
             .map(Value::Num)
-            .map_err(|_| format!("invalid number '{tok}' at byte {start}"))
+            .map_err(|_| format!("invalid number '{tok}' at byte {start}").into())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -321,7 +382,7 @@ impl Parser<'_> {
                                     .ok_or(format!("unpaired surrogate \\u{hex}"))?,
                             );
                         }
-                        other => return Err(format!("invalid escape '\\{}'", other as char)),
+                        other => return Err(format!("invalid escape '\\{}'", other as char).into()),
                     }
                 }
                 Some(_) => {
@@ -336,7 +397,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -354,12 +415,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -375,7 +436,7 @@ impl Parser<'_> {
             self.skip_ws();
             let value = self.value()?;
             if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key '{key}'"));
+                return Err(format!("duplicate key '{key}'").into());
             }
             fields.push((key, value));
             self.skip_ws();
@@ -385,7 +446,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Obj(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos).into()),
             }
         }
     }
@@ -450,9 +511,32 @@ mod tests {
             ("tru", "invalid literal"),
             ("{}x", "trailing characters"),
         ] {
-            let err = Value::parse(text).unwrap_err();
+            let err = Value::parse(text).unwrap_err().to_string();
             assert!(err.contains(needle), "{text}: {err}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest =
+            |open: &str, close: &str, n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+        assert!(Value::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(r#"{"a":"#, "}", MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Value::parse(&nest("[", "]", MAX_DEPTH + 1)),
+            Err(ParseError::TooDeep { at: MAX_DEPTH })
+        );
+        assert_eq!(
+            Value::parse(&nest(r#"{"a":"#, "}", MAX_DEPTH + 1)),
+            Err(ParseError::TooDeep { at: 5 * MAX_DEPTH })
+        );
+        // The body that used to overflow the parsing thread's stack.
+        let err = Value::parse(&"[".repeat(50_000)).unwrap_err();
+        assert_eq!(err, ParseError::TooDeep { at: MAX_DEPTH });
+        assert!(
+            err.to_string().contains("nested deeper than 64 levels"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -389,7 +389,7 @@ impl ScenarioSpec {
     /// values, with typed [`ScenarioError`]s whose rendered text names
     /// the offending field.
     pub fn from_json(text: &str) -> Result<Self, ScenarioError> {
-        let doc = Value::parse(text).map_err(ScenarioError::MalformedSpec)?;
+        let doc = Value::parse(text).map_err(|e| ScenarioError::MalformedSpec(e.to_string()))?;
         Self::from_value(&doc)
     }
 

@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use super::cache::{is_valid_key, ResultCache};
 use super::metrics::{ServeMetrics, TraceEvent};
 use super::queue::{Job, Priority};
-use super::scheduler::{run_batch, Disposition, Scheduler};
+use super::scheduler::{run_batch, Admission, Scheduler};
 use crate::json::Value;
 use crate::scenario::ScenarioSpec;
 
@@ -279,73 +279,92 @@ fn read_request(
     }))
 }
 
-/// Write one fixed-length response and flush. `extra` headers ride
-/// along verbatim; `keep` picks the `Connection` header.
-fn respond(
-    stream: &mut TcpStream,
+/// The reason phrase of every status this server answers with.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
+        _ => "Internal Server Error",
+    }
+}
+
+/// Frame one response into one buffer and send it with one
+/// `write_all`: the status line, the headers (`extra` ride along
+/// verbatim; `keep` picks `Connection`), and — when `body` is `Some` —
+/// the Content-Length body. `None` frames the head of a chunked body
+/// instead, which a [`ChunkedWriter`] continues. One write per response
+/// matters: under Nagle's algorithm, a response split over several
+/// small writes holds its tail until the client's delayed ACK (~40 ms).
+fn respond<W: Write>(
+    w: &mut W,
     status: u16,
-    reason: &str,
     content_type: &str,
     extra: &[(&str, &str)],
     keep: bool,
-    body: &[u8],
+    body: Option<&[u8]>,
 ) -> io::Result<()> {
+    let mut out = Vec::with_capacity(256 + body.map_or(0, <[u8]>::len));
     write!(
-        stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        body.len(),
-        if keep { "keep-alive" } else { "close" },
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+        reason(status)
     )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
+    match body {
+        Some(body) => write!(out, "Content-Length: {}\r\n", body.len())?,
+        None => out.extend_from_slice(b"Transfer-Encoding: chunked\r\n"),
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()
+    let connection = if keep { "keep-alive" } else { "close" };
+    write!(out, "Connection: {connection}\r\n")?;
+    for (name, value) in extra {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body.unwrap_or_default());
+    w.write_all(&out)?;
+    w.flush()
 }
 
-/// Start a 200 chunked-transfer response; the body follows as chunks
-/// (self-delimiting, so keep-alive survives streaming).
-fn stream_head(stream: &mut TcpStream, extra: &[(&str, &str)], keep: bool) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        if keep { "keep-alive" } else { "close" },
-    )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")
+/// Answer an error: `status` with a `{"error":hint}` JSON body. Write
+/// failures are ignored — the connection is lost either way.
+fn fail<W: Write>(w: &mut W, status: u16, hint: &str, keep: bool) {
+    let mut body = Value::Obj(vec![("error".into(), Value::Str(hint.into()))])
+        .render()
+        .into_bytes();
+    body.push(b'\n');
+    let _ = respond(w, status, "application/json", &[], keep, Some(&body));
 }
 
 /// A chunked-transfer body writer that survives the client vanishing:
 /// the first write error marks the writer dead and every later chunk is
 /// silently dropped, so a mid-response disconnect never aborts the
-/// physics run it is watching.
-struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+/// physics run it is watching. Each chunk frame (size line, data,
+/// CRLF) and the terminal chunk go out as one write apiece.
+struct ChunkedWriter<W: Write> {
+    w: W,
     alive: bool,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    fn new(stream: &'a mut TcpStream) -> Self {
-        Self {
-            stream,
-            alive: true,
-        }
+impl<W: Write> ChunkedWriter<W> {
+    /// Send the head of a 200 chunked text response; a failed head
+    /// leaves the writer dead.
+    fn start(mut w: W, extra: &[(&str, &str)], keep: bool) -> Self {
+        let alive = respond(&mut w, 200, "text/plain", extra, keep, None).is_ok();
+        Self { w, alive }
     }
 
     fn chunk(&mut self, data: &[u8]) {
         if !self.alive || data.is_empty() {
             return;
         }
-        let r = write!(self.stream, "{:x}\r\n", data.len())
-            .and_then(|()| self.stream.write_all(data))
-            .and_then(|()| self.stream.write_all(b"\r\n"))
-            .and_then(|()| self.stream.flush());
-        if r.is_err() {
-            self.alive = false;
-        }
+        let frame = [format!("{:x}\r\n", data.len()).as_bytes(), data, b"\r\n"].concat();
+        self.alive = self
+            .w
+            .write_all(&frame)
+            .and_then(|()| self.w.flush())
+            .is_ok();
     }
 
     /// Mark the body unfinishable (e.g. a source read failed): the
@@ -356,20 +375,13 @@ impl<'a> ChunkedWriter<'a> {
 
     fn finish(&mut self) {
         if self.alive {
-            let _ = self
-                .stream
+            self.alive = self
+                .w
                 .write_all(b"0\r\n\r\n")
-                .and_then(|()| self.stream.flush());
+                .and_then(|()| self.w.flush())
+                .is_ok();
         }
     }
-}
-
-fn error_body(hint: &str) -> Vec<u8> {
-    let mut body = Value::Obj(vec![("error".into(), Value::Str(hint.into()))])
-        .render()
-        .into_bytes();
-    body.push(b'\n');
-    body
 }
 
 /// The server state every acceptor thread shares.
@@ -550,6 +562,9 @@ fn lingering_close(stream: &TcpStream) {
 /// order), one response per request, until close/cap/idle/shutdown.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let config = &shared.config;
+    // Every response and chunk frame is one write already; with Nagle
+    // on, each would still wait for the ACK of the one before it.
+    let _ = stream.set_nodelay(true);
     if !config.read_timeout.is_zero() {
         let _ = stream.set_read_timeout(Some(config.read_timeout));
     }
@@ -592,42 +607,18 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 }
             }
             Err(RequestError::Malformed(hint)) => {
-                let _ = respond(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &[],
-                    false,
-                    &error_body(&hint),
-                );
+                fail(&mut stream, 400, &hint, false);
                 return lingering_close(&stream);
             }
             Err(RequestError::TooLarge(hint)) => {
-                let _ = respond(
-                    &mut stream,
-                    413,
-                    "Payload Too Large",
-                    "application/json",
-                    &[],
-                    false,
-                    &error_body(&hint),
-                );
+                fail(&mut stream, 413, &hint, false);
                 return lingering_close(&stream);
             }
             Err(RequestError::Timeout) => {
                 // A stall mid-first-request earns a 408; an idle
                 // persistent connection just closes silently.
                 if served == 0 {
-                    let _ = respond(
-                        &mut stream,
-                        408,
-                        "Request Timeout",
-                        "application/json",
-                        &[],
-                        false,
-                        &error_body("request timed out"),
-                    );
+                    fail(&mut stream, 408, "request timed out", false);
                     return lingering_close(&stream);
                 }
                 return;
@@ -643,19 +634,12 @@ fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
         ("GET", "/stats") => {
             let mut body = shared.scheduler().stats_json().into_bytes();
             body.push(b'\n');
-            let _ = respond(stream, 200, "OK", "application/json", &[], keep, &body);
+            let _ = respond(stream, 200, "application/json", &[], keep, Some(&body));
         }
         ("GET", "/stats/prom") => {
-            let body = shared.scheduler().prometheus_text().into_bytes();
-            let _ = respond(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                &[],
-                keep,
-                &body,
-            );
+            let body = shared.scheduler().prometheus_text();
+            let prom = "text/plain; version=0.0.4";
+            let _ = respond(stream, 200, prom, &[], keep, Some(body.as_bytes()));
         }
         ("GET", path) if path.starts_with("/result/") => {
             get_result(&path["/result/".len()..], stream, shared, keep);
@@ -664,11 +648,10 @@ fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
             let _ = respond(
                 stream,
                 200,
-                "OK",
                 "text/plain",
                 &[],
                 false,
-                b"shutting down\n",
+                Some(b"shutting down\n"),
             );
             shared.shutdown.store(true, Ordering::SeqCst);
             // Wake idle persistent connections: shutting down each
@@ -685,21 +668,28 @@ fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
                 let _ = TcpStream::connect(shared.addr);
             }
         }
-        _ => {
-            let _ = respond(
-                stream,
-                404,
-                "Not Found",
-                "application/json",
-                &[],
-                keep,
-                &error_body(
-                    "no such endpoint (try POST /run, GET /stats, GET /stats/prom, \
-                     GET /result/<key>, GET /result/<key>/trajectory.xyz, POST /shutdown)",
-                ),
-            );
-        }
+        _ => fail(
+            stream,
+            404,
+            "no such endpoint (try POST /run, GET /stats, GET /stats/prom, \
+             GET /result/<key>, GET /result/<key>/trajectory.xyz, POST /shutdown)",
+            keep,
+        ),
     }
+}
+
+/// Answer `POST /run` with a report: 200, `text/plain`, the
+/// `X-Wafer-Cache` disposition label and the `X-Wafer-Key` header.
+fn answer_report(stream: &mut TcpStream, label: &str, key: &str, keep: bool, report: &str) {
+    let extra = [("X-Wafer-Cache", label), ("X-Wafer-Key", key)];
+    let _ = respond(
+        stream,
+        200,
+        "text/plain",
+        &extra,
+        keep,
+        Some(report.as_bytes()),
+    );
 }
 
 /// `POST /run`: admit the spec and answer with the report bytes.
@@ -709,18 +699,7 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
         .and_then(|text| ScenarioSpec::from_json(text).map_err(|e| e.to_string()));
     let spec = match spec {
         Ok(spec) => spec,
-        Err(hint) => {
-            let _ = respond(
-                stream,
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                keep,
-                &error_body(&hint),
-            );
-            return;
-        }
+        Err(hint) => return fail(stream, 400, &hint, keep),
     };
     // The service clock covers admission through response flush, for
     // every valid request — so at quiescence the service histogram's
@@ -729,8 +708,8 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
     let client = request.client.as_deref().unwrap_or(peer);
 
     // One lock acquisition for the admission decision *and* its
-    // follow-up handle, so a coalesced request always finds its cell
-    // and a hit always finds its entry.
+    // follow-up handle, so a coalesced request always finds its cell;
+    // a hit carries the entry admission already read.
     enum Plan {
         Hit(String, String),
         Wait(String, Arc<super::scheduler::JobCell>, &'static str),
@@ -738,32 +717,18 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
     }
     let plan = {
         let mut sched = shared.scheduler();
-        let (key, disposition) = sched.submit_from(spec, request.priority, client);
-        match disposition {
-            Disposition::CacheHit => {
-                let cached = sched.result(&key).expect("a hit key is cached");
-                Plan::Hit(key, cached.report)
-            }
-            Disposition::Coalesced => {
+        match sched.admit(spec, request.priority, client) {
+            (key, Admission::Hit(cached)) => Plan::Hit(key, cached.report),
+            (key, Admission::Coalesced) => {
                 let cell = sched.watch(&key).expect("a coalesced key has a cell");
                 Plan::Wait(key, cell, "coalesced")
             }
-            Disposition::Queued => Plan::Run(key),
+            (key, Admission::Queued) => Plan::Run(key),
         }
     };
 
     match plan {
-        Plan::Hit(key, report) => {
-            let _ = respond(
-                stream,
-                200,
-                "OK",
-                "text/plain",
-                &[("X-Wafer-Cache", "hit"), ("X-Wafer-Key", &key)],
-                keep,
-                report.as_bytes(),
-            );
-        }
+        Plan::Hit(key, report) => answer_report(stream, "hit", &key, keep, &report),
         Plan::Wait(key, cell, label) => {
             answer_from_cell(&key, &cell, label, stream, keep);
         }
@@ -786,28 +751,8 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
                 match cell {
                     Some(cell) => answer_from_cell(&key, &cell, "miss", stream, keep),
                     None => match shared.scheduler().result(&key) {
-                        Some(cached) => {
-                            let _ = respond(
-                                stream,
-                                200,
-                                "OK",
-                                "text/plain",
-                                &[("X-Wafer-Cache", "miss"), ("X-Wafer-Key", &key)],
-                                keep,
-                                cached.report.as_bytes(),
-                            );
-                        }
-                        None => {
-                            let _ = respond(
-                                stream,
-                                404,
-                                "Not Found",
-                                "application/json",
-                                &[],
-                                keep,
-                                &error_body("result evicted before it could be read"),
-                            );
-                        }
+                        Some(cached) => answer_report(stream, "miss", &key, keep, &cached.report),
+                        None => fail(stream, 404, "result evicted before it could be read", keep),
                     },
                 }
             }
@@ -825,28 +770,8 @@ fn answer_from_cell(
     keep: bool,
 ) {
     match cell.wait() {
-        Some(artifacts) => {
-            let _ = respond(
-                stream,
-                200,
-                "OK",
-                "text/plain",
-                &[("X-Wafer-Cache", label), ("X-Wafer-Key", key)],
-                keep,
-                artifacts.report.as_bytes(),
-            );
-        }
-        None => {
-            let _ = respond(
-                stream,
-                500,
-                "Internal Server Error",
-                "application/json",
-                &[],
-                keep,
-                &error_body("scenario run failed; resubmit"),
-            );
-        }
+        Some(artifacts) => answer_report(stream, label, key, keep, &artifacts.report),
+        None => fail(stream, 500, "scenario run failed; resubmit", keep),
     }
 }
 
@@ -869,27 +794,28 @@ fn run_and_stream(
     keep: bool,
 ) -> bool {
     let streaming = own_idx.is_some();
-    let head_ok = !streaming
-        || stream_head(
+    let chunked = Mutex::new(if streaming {
+        ChunkedWriter::start(
             stream,
             &[("X-Wafer-Cache", "miss"), ("X-Wafer-Key", key)],
             keep,
         )
-        .is_ok();
-    let writer = Mutex::new(ChunkedWriter::new(stream));
-    if !head_ok {
-        writer
+    } else {
+        // Other clients' work only: nothing streams on this connection.
+        ChunkedWriter {
+            w: stream,
+            alive: false,
+        }
+    });
+    let writer = || {
+        chunked
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .die();
-    }
+    };
     let pass = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_batch(batch, own_idx.unwrap_or(batch.len()), &|frag: &str| {
-            writer
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .chunk(frag.as_bytes());
+            writer().chunk(frag.as_bytes());
         })
     }));
     match outcome {
@@ -904,10 +830,7 @@ fn run_and_stream(
             }
             drop(sched);
             if streaming {
-                writer
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .finish();
+                writer().finish();
                 shared.metrics.trace(TraceEvent::new("streamed").key(key));
             }
             streaming
@@ -922,10 +845,7 @@ fn run_and_stream(
                 sched.abandon(&job.key);
             }
             drop(sched);
-            writer
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .die();
+            writer().die();
             // Streaming already sent a (now truncated) head, so the
             // request counts as answered; a non-streaming runner falls
             // back to its own cell, which `abandon` just settled.
@@ -943,45 +863,24 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
     // Path-traversal hardening: a key is exactly 16 lowercase hex
     // characters, validated before it can touch the filesystem.
     if !is_valid_key(key) {
-        let _ = respond(
-            stream,
-            400,
-            "Bad Request",
-            "application/json",
-            &[],
-            keep,
-            &error_body("result keys are exactly 16 lowercase hex characters"),
-        );
-        return;
+        let hint = "result keys are exactly 16 lowercase hex characters";
+        return fail(stream, 400, hint, keep);
     }
     match artifact {
-        None => {
-            let cached = shared.scheduler().result(key);
-            match cached {
-                Some(cached) => {
-                    let _ = respond(
-                        stream,
-                        200,
-                        "OK",
-                        "text/plain",
-                        &[("X-Wafer-Key", key)],
-                        keep,
-                        cached.report.as_bytes(),
-                    );
-                }
-                None => {
-                    let _ = respond(
-                        stream,
-                        404,
-                        "Not Found",
-                        "application/json",
-                        &[],
-                        keep,
-                        &error_body("unknown result key"),
-                    );
-                }
+        None => match shared.scheduler().result(key) {
+            Some(cached) => {
+                let body = Some(cached.report.as_bytes());
+                let _ = respond(
+                    stream,
+                    200,
+                    "text/plain",
+                    &[("X-Wafer-Key", key)],
+                    keep,
+                    body,
+                );
             }
-        }
+            None => fail(stream, 404, "unknown result key", keep),
+        },
         Some("trajectory.xyz") => {
             // Open under the lock, stream outside it: the open handle
             // stays valid even if the entry is evicted mid-stream.
@@ -992,28 +891,14 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
                     shared.metrics.trace(TraceEvent::new("streamed").key(key));
                 }
                 None => {
-                    let _ = respond(
-                        stream,
-                        404,
-                        "Not Found",
-                        "application/json",
-                        &[],
-                        keep,
-                        &error_body("no cached trajectory for this key (did the spec set xyz?)"),
-                    );
+                    let hint = "no cached trajectory for this key (did the spec set xyz?)";
+                    fail(stream, 404, hint, keep);
                 }
             }
         }
         Some(_) => {
-            let _ = respond(
-                stream,
-                404,
-                "Not Found",
-                "application/json",
-                &[],
-                keep,
-                &error_body("unknown artifact (try /result/<key> or /result/<key>/trajectory.xyz)"),
-            );
+            let hint = "unknown artifact (try /result/<key> or /result/<key>/trajectory.xyz)";
+            fail(stream, 404, hint, keep);
         }
     }
 }
@@ -1021,20 +906,72 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
 /// Stream a cached file as a chunked body without ever holding more
 /// than one chunk in memory.
 fn stream_file(mut file: File, key: &str, stream: &mut TcpStream, keep: bool) {
-    if stream_head(stream, &[("X-Wafer-Key", key)], keep).is_err() {
-        return;
-    }
-    let mut writer = ChunkedWriter::new(stream);
+    let mut writer = ChunkedWriter::start(stream, &[("X-Wafer-Key", key)], keep);
     let mut buf = vec![0u8; STREAM_CHUNK];
-    loop {
+    while writer.alive {
         match file.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => writer.chunk(&buf[..n]),
-            Err(_) => {
-                writer.die();
-                break;
-            }
+            Err(_) => writer.die(),
         }
     }
     writer.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that keeps every `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_and_chunk_frame_is_one_write_of_unchanged_bytes() {
+        let key = ("X-Wafer-Key", "0123456789abcdef");
+        let mut w = Writes::default();
+        let extra = [("X-Wafer-Cache", "hit"), key];
+        respond(&mut w, 200, "text/plain", &extra, true, Some(b"report\n")).unwrap();
+        assert_eq!(
+            w.0,
+            [
+                &b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 7\r\n\
+                Connection: keep-alive\r\nX-Wafer-Cache: hit\r\nX-Wafer-Key: 0123456789abcdef\r\n\
+                \r\nreport\n"[..]
+            ]
+        );
+
+        let mut w = Writes::default();
+        fail(&mut w, 404, "unknown result key", false);
+        assert_eq!(
+            w.0,
+            [&b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 31\r\n\
+                Connection: close\r\n\r\n{\"error\":\"unknown result key\"}\n"[..]]
+        );
+
+        let mut chunked = ChunkedWriter::start(Writes::default(), &[key], false);
+        chunked.chunk(b"abcdefghijklmnopqrstuvwxyz");
+        chunked.chunk(b""); // never sent: it would read as the terminal chunk
+        chunked.finish();
+        assert_eq!(
+            chunked.w.0,
+            [
+                &b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\
+                   Connection: close\r\nX-Wafer-Key: 0123456789abcdef\r\n\r\n"[..],
+                b"1a\r\nabcdefghijklmnopqrstuvwxyz\r\n",
+                b"0\r\n\r\n",
+            ]
+        );
+    }
 }

@@ -65,6 +65,17 @@ impl Disposition {
     }
 }
 
+/// [`Disposition`] as the crate's own admission path sees it: a hit
+/// carries the cached result its lookup read.
+pub(crate) enum Admission {
+    /// Answered from the on-disk cache.
+    Hit(CachedResult),
+    /// Riding along on a pending or in-flight job for the same key.
+    Coalesced,
+    /// Newly queued.
+    Queued,
+}
+
 /// Everything one executed run produces.
 #[derive(Clone, Debug)]
 pub struct RunArtifacts {
@@ -377,26 +388,44 @@ impl Scheduler {
     }
 
     /// [`Scheduler::submit`] with an explicit priority band and client
-    /// identity — the HTTP layer's entry point. The band and client
-    /// only steer *dispatch order*; the key, the artifacts, and the
-    /// disposition logic are identical for every identity.
+    /// identity. The band and client only steer *dispatch order*; the
+    /// key, the artifacts, and the disposition logic are identical for
+    /// every identity.
     pub fn submit_from(
         &mut self,
         spec: ScenarioSpec,
         priority: Priority,
         client: &str,
     ) -> (String, Disposition) {
+        let (key, admission) = self.admit(spec, priority, client);
+        let disposition = match admission {
+            Admission::Hit(_) => Disposition::CacheHit,
+            Admission::Coalesced => Disposition::Coalesced,
+            Admission::Queued => Disposition::Queued,
+        };
+        (key, disposition)
+    }
+
+    /// [`Scheduler::submit_from`], handing a hit back with the entry
+    /// its cache lookup read — the HTTP layer's entry point, so a hit
+    /// reads and touches its entry once.
+    pub(crate) fn admit(
+        &mut self,
+        spec: ScenarioSpec,
+        priority: Priority,
+        client: &str,
+    ) -> (String, Admission) {
         self.stats.requests += 1;
         let key = spec.key();
-        if self.cache.lookup(&key).is_some() {
+        if let Some(cached) = self.cache.lookup(&key) {
             self.stats.cache_hits += 1;
             self.metrics.trace(TraceEvent::new("hit").key(&key));
-            return (key, Disposition::CacheHit);
+            return (key, Admission::Hit(cached));
         }
         if self.cells.contains_key(&key) {
             self.stats.coalesced += 1;
             self.metrics.trace(TraceEvent::new("coalesced").key(&key));
-            return (key, Disposition::Coalesced);
+            return (key, Admission::Coalesced);
         }
         self.queue.push(Job {
             key: key.clone(),
@@ -411,7 +440,7 @@ impl Scheduler {
                 .key(&key)
                 .tag("band", priority.label()),
         );
-        (key, Disposition::Queued)
+        (key, Admission::Queued)
     }
 
     /// The completion cell of a queued or in-flight key, if any. Cells

@@ -57,6 +57,15 @@ pub fn dechunk(body: &str) -> String {
     }
 }
 
+/// Connect to the test server with Nagle off. Every request goes out
+/// as one write, so the timings the suites see are the server's, never
+/// the client's own stall behind an unacknowledged segment.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to test server");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    stream
+}
+
 /// One request/response exchange on a fresh connection: returns
 /// (status, lowercased headers, de-framed body). Sends
 /// `Connection: close` so the server ends the connection after the
@@ -67,13 +76,12 @@ pub fn http(
     path: &str,
     body: &str,
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to test server");
-    write!(
-        stream,
+    let mut stream = connect(addr);
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: wafer-md\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
-    )
-    .unwrap();
+    );
+    stream.write_all(request.as_bytes()).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     let (head, body) = response
@@ -117,7 +125,7 @@ impl KeepAliveClient {
     /// Connect a persistent client to the test server.
     pub fn connect(addr: SocketAddr) -> Self {
         Self {
-            stream: TcpStream::connect(addr).expect("connect to test server"),
+            stream: connect(addr),
             buf: Vec::new(),
         }
     }
@@ -126,14 +134,18 @@ impl KeepAliveClient {
     /// default keep-alive; no `Connection` header is sent). `extra`
     /// headers ride along verbatim.
     pub fn send(&mut self, method: &str, path: &str, extra: &[(&str, &str)], body: &str) {
-        let mut head = format!(
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nHost: wafer-md\r\nContent-Length: {}\r\n",
             body.len()
         );
         for (name, value) in extra {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            request.push_str(&format!("{name}: {value}\r\n"));
         }
-        write!(self.stream, "{head}\r\n{body}").expect("write request");
+        request.push_str("\r\n");
+        request.push_str(body);
+        self.stream
+            .write_all(request.as_bytes())
+            .expect("write request");
     }
 
     /// Read exactly one response off the socket: (status, lowercased

@@ -8,14 +8,15 @@ mod common;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::{Duration, Instant};
 
-use common::{fixture_spec, header, http, scratch};
+use common::{fixture_spec, header, http, scratch, KeepAliveClient};
 use proptest::prelude::*;
 use wafer_md::json::Value;
 use wafer_md::md::materials::Species;
 use wafer_md::md::vec3::V3d;
 use wafer_md::scenario::{GhostPeriod, ScenarioSpec, Thermostat, Workload};
-use wafer_md::serve::{Disposition, Priority, ResultCache, Scheduler, Server};
+use wafer_md::serve::{Disposition, Priority, ResultCache, Scheduler, ServeConfig, Server};
 
 #[test]
 fn same_spec_twice_is_one_run_with_byte_identical_responses() {
@@ -345,6 +346,46 @@ fn trajectory_streams_chunked_from_the_cache() {
     fs::remove_dir_all(&root).unwrap();
 }
 
+#[test]
+fn keep_alive_hits_are_not_stalled_by_delayed_acks() {
+    let root = scratch("hit-latency");
+    let config = ServeConfig {
+        max_requests_per_conn: 1_000,
+        ..ServeConfig::default()
+    };
+    let mut server =
+        Server::bind_with("127.0.0.1:0", ResultCache::open(&root).unwrap(), config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve().unwrap());
+
+    let request = fixture_spec().to_json();
+    let mut client = KeepAliveClient::connect(addr);
+    let (status, headers, fresh) = client.exchange("POST", "/run", &[], &request);
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-wafer-cache"), "miss");
+    // A response sent in several small writes waits under Nagle's
+    // algorithm for the client's delayed ACK (~40 ms), which would
+    // make these 200 hits take ~8 s.
+    let started = Instant::now();
+    for _ in 0..200 {
+        let (status, headers, body) = client.exchange("POST", "/run", &[], &request);
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, "x-wafer-cache"), "hit");
+        assert_eq!(body, fresh);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 sequential keep-alive hits took {elapsed:?}"
+    );
+    drop(client);
+
+    let (status, _, _) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join().expect("server thread exits cleanly");
+    fs::remove_dir_all(&root).unwrap();
+}
+
 fn wafer_md_bin() -> &'static str {
     env!("CARGO_BIN_EXE_wafer-md")
 }
@@ -440,6 +481,25 @@ fn malformed_drain_line_exits_2_with_a_hint() {
         String::from_utf8_lossy(&out.stderr).contains("malformed scenario spec"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+    // 50,000 nested arrays: refused at the JSON nesting cap as an error
+    // line, not a stack overflow that aborts the process.
+    fs::write(&requests, "[".repeat(50_000) + "\n").unwrap();
+    let out = Command::new(wafer_md_bin())
+        .args([
+            "serve",
+            "--cache",
+            root.to_str().unwrap(),
+            "--drain",
+            requests.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 1") && stderr.contains("nested deeper than 64 levels"),
+        "{stderr}"
     );
     let _ = fs::remove_file(&requests);
     let _ = fs::remove_dir_all(&root);

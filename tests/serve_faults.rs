@@ -244,3 +244,29 @@ fn mid_response_disconnect_still_completes_and_caches_the_run() {
     handle.join().expect("acceptor pool drains cleanly");
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+#[test]
+fn deeply_nested_json_is_a_400_and_the_server_keeps_serving() {
+    let root = scratch("faults-nesting");
+    let mut server = Server::bind("127.0.0.1:0", &root).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve().unwrap());
+
+    // 50,000 `[` bytes, well under the body cap: before the JSON
+    // nesting cap this overflowed the acceptor's stack and aborted the
+    // whole process.
+    let (status, _, err) = http(addr, "POST", "/run", &"[".repeat(50_000));
+    assert_eq!(status, 400);
+    assert!(err.contains("nested deeper than 64 levels"), "{err}");
+
+    let spec = fixture_spec();
+    let (status, headers, body) = http(addr, "POST", "/run", &spec.to_json());
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-wafer-cache"), "miss");
+    assert!(body.starts_with("== wafer-md serve:"), "{body}");
+
+    let (status, _, _) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join().expect("acceptor pool drains cleanly");
+    std::fs::remove_dir_all(&root).unwrap();
+}
